@@ -1,0 +1,36 @@
+package perfbench
+
+/** Minimal JSON rendering for the benchmark's records. Values are maps,
+  * sequences, strings, numbers, booleans or null; non-finite doubles
+  * become null.
+  */
+object Json {
+  def render(v: Any): String = v match {
+    case null                 => "null"
+    case s: String            => quote(s)
+    case b: Boolean           => b.toString
+    case d: Double            => if (d.isNaN || d.isInfinite) "null" else d.toString
+    case f: Float             => render(f.toDouble)
+    case n: Int               => n.toString
+    case n: Long              => n.toString
+    case m: scala.collection.Map[_, _] =>
+      m.map { case (k, x) => quote(k.toString) + ":" + render(x) }.mkString("{", ",", "}")
+    case xs: Iterable[_]      => xs.map(render).mkString("[", ",", "]")
+    case xs: Array[_]         => render(xs.toSeq)
+    case other                => quote(other.toString)
+  }
+
+  private def quote(s: String): String = {
+    val b = new StringBuilder("\"")
+    s.foreach {
+      case '"'            => b ++= "\\\""
+      case '\\'           => b ++= "\\\\"
+      case '\n'           => b ++= "\\n"
+      case '\t'           => b ++= "\\t"
+      case c if c < ' '   => b ++= f"\\u${c.toInt}%04x"
+      case c              => b += c
+    }
+    b += '"'
+    b.toString
+  }
+}
