@@ -32,7 +32,7 @@ object TableII {
     val (_, bcG) = Experiments.broadcastDataset(spark, dataset)
     try {
       def once(p: Double, q: Double) = repro.core.Pipeline.run(
-        spark, bcG, new Node2Vec(p, q), new RejectionSamplerFactory,
+        spark, bcG, new Node2Vec(p, q), new RejectionSamplerFactory(knightKing = false),
         RunConfig(numWalks = numWalks, walkLen = walkLen,
                   partitions = Experiments.Parallelism, seed = seed))
       once(1.0, 1.0) // discarded warm-up: JIT-compile the sampling loops

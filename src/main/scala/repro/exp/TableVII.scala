@@ -25,9 +25,9 @@ object TableVII {
     * per-graph to UniNet's own consumption, as in the paper.
     */
   def samplerRows(budget: Long): Seq[(String, () => SamplerFactory)] = Seq(
-    "Alias"          -> (() => new AliasSamplerFactory(precomputeAll = true)),
-    "Rejection"      -> (() => new RejectionSamplerFactory),
-    "KnightKing"     -> (() => new KnightKingSamplerFactory),
+    "Alias"          -> (() => new AliasSamplerFactory),
+    "Rejection"      -> (() => new RejectionSamplerFactory(knightKing = false)),
+    "KnightKing"     -> (() => new RejectionSamplerFactory(knightKing = true)),
     "Memory-Aware"   -> (() => new MemoryAwareSamplerFactory(budget)),
     "UniNet(Rand)"   -> (() => new MHSamplerFactory(RandomInit)),
     "UniNet(Burn)"   -> (() => new MHSamplerFactory(BurnInInit(100))),

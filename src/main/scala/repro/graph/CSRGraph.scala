@@ -112,6 +112,8 @@ object CSRGraph {
   /** Build a CSR graph from a *directed* edge array (call sites symmetrize
     * first for undirected networks). Neighbor slices are sorted by
     * destination id; parallel duplicate edges are kept as-is (multigraph).
+    * Endpoints must lie in [0, numNodes) and weights must be finite and
+    * >= 0; anything else fails here instead of inside a walk task.
     */
   def fromEdges(
       numNodes: Int,
@@ -125,7 +127,16 @@ object CSRGraph {
     val m = srcs.length
     val offsets = new Array[Int](numNodes + 1)
     var i = 0
-    while (i < m) { offsets(srcs(i) + 1) += 1; i += 1 }
+    while (i < m) {
+      val u = srcs(i); val v = dsts(i); val w = ws(i)
+      if (u < 0 || u >= numNodes || v < 0 || v >= numNodes)
+        throw new IllegalArgumentException(s"edge $i ($u->$v): endpoint outside [0, $numNodes)")
+      // NaN fails both comparisons; an infinite weight breaks every normalizer.
+      if (!(w >= 0f && w < Float.PositiveInfinity))
+        throw new IllegalArgumentException(s"edge $i ($u->$v): weight $w is not finite and >= 0")
+      offsets(u + 1) += 1
+      i += 1
+    }
     i = 0
     while (i < numNodes) { offsets(i + 1) += offsets(i); i += 1 }
     val cursor = java.util.Arrays.copyOf(offsets, numNodes)

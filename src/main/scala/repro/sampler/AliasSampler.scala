@@ -13,82 +13,56 @@ import repro.graph.CSRGraph
   * blow-up that makes the reference node2vec implementation (and
   * UniNet(Orig)) explode on large networks (Challenge 1).
   *
-  * `precomputeAll = true` reproduces that reference behavior: every state
-  * table is built eagerly in `prepare` (this *is* the huge Ti of the
-  * node2vec baselines in Table VI). `precomputeAll = false` builds tables
-  * lazily per partition on first visit and caches them — a fairer variant
-  * used by the memory-aware comparison.
+  * Like that reference implementation, every state table is built eagerly
+  * in `prepare` (this *is* the huge Ti of the node2vec baselines in
+  * Table VI). A lazy per-state alias cache is the memory-aware sampler
+  * with an unbounded budget.
   */
-final class AliasSamplerFactory(val precomputeAll: Boolean) extends SamplerFactory {
-  override def name: String = if (precomputeAll) "alias(precompute)" else "alias(lazy)"
+final class AliasSamplerFactory extends SamplerFactory {
+  override val name = "alias"
 
-  // Shared immutable tables, indexed [node][affixture]; null rows until built.
+  // Shared immutable tables, indexed [node][affixture].
   private var tables: Array[Array[AliasTable]] = _
   private val builtBytes = new AtomicLong(0L)
 
   override def prepare(g: CSRGraph, model: RandomWalkModel, parallel: Boolean): Unit = {
     tables = new Array[Array[AliasTable]](g.numNodes)
     builtBytes.set(0L)
-    if (precomputeAll) {
-      SamplerUtil.forEachNode(g.numNodes, parallel) { v =>
-        val bs = model.bucketSize(g, v)
-        val row = new Array[AliasTable](bs)
-        var a = 0
-        while (a < bs) {
-          row(a) = AliasMethod.build(
-            SamplerUtil.dynamicWeights(g, model, model.stateFor(g, v, a)))
-          a += 1
-        }
-        tables(v) = row
-        builtBytes.addAndGet(AliasMethod.tableBytes(g.degree(v)) * bs)
+    SamplerUtil.forEachNode(g.numNodes, parallel) { v =>
+      val bs = model.bucketSize(g, v)
+      val row = new Array[AliasTable](bs)
+      var a = 0
+      while (a < bs) {
+        row(a) = AliasMethod.build(
+          SamplerUtil.dynamicWeights(g, model, model.stateFor(g, v, a)))
+        a += 1
       }
+      tables(v) = row
+      builtBytes.addAndGet(AliasMethod.tableBytes(g.degree(v)) * bs)
     }
   }
 
   override def create(g: CSRGraph, model: RandomWalkModel): EdgeSampler = {
     require(tables != null, s"$name: prepare() must run before create()")
-    new AliasSampler(g, model, if (precomputeAll) tables else null)
+    new AliasSampler(g, model, tables)
   }
 
-  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long =
-    if (precomputeAll) builtBytes.get() else 0L
+  override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = builtBytes.get()
 }
 
 final class AliasSampler(
     g: CSRGraph,
     model: RandomWalkModel,
-    shared: Array[Array[AliasTable]], // null => lazy per-partition cache
+    tables: Array[Array[AliasTable]],
 ) extends EdgeSampler {
   override val stats = new LocalStats
-  private val local: Array[Array[AliasTable]] =
-    if (shared == null) new Array[Array[AliasTable]](g.numNodes) else null
-
-  private def lookup(s: WalkState): AliasTable = {
-    val v = s.cur
-    val a = model.affixture(g, s)
-    if (shared != null) shared(v)(a)
-    else {
-      var row = local(v)
-      if (row == null) { row = new Array[AliasTable](model.bucketSize(g, v)); local(v) = row }
-      var t = row(a)
-      if (t == null) {
-        val t0 = System.nanoTime()
-        t = AliasMethod.build(SamplerUtil.dynamicWeights(g, model, s))
-        row(a) = t
-        stats.initNanos += System.nanoTime() - t0
-        stats.initCount += 1
-        stats.lazyBytes += AliasMethod.tableBytes(g.degree(v))
-      }
-      t
-    }
-  }
 
   override def sample(s: WalkState, rng: SplittableRandom): Int = {
     val d = g.degree(s.cur)
     if (d == 0) return -1
     stats.steps += 1
     stats.trials += 1
-    val t = lookup(s)
+    val t = tables(s.cur)(model.affixture(g, s))
     if (t == null) -1 // every dynamic weight is 0 under this state
     else g.offset(s.cur) + t.draw(rng)
   }

@@ -115,6 +115,25 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
+  test("fromEdges rejects endpoint ids outside [0, numNodes)") {
+    for ((src, dst) <- Seq((0, 2), (2, 0), (-1, 1), (1, -1))) {
+      val ex = intercept[IllegalArgumentException] {
+        CSRGraph.fromEdges(2, Array(0, src), Array(1, dst), Array(1.0f, 1.0f))
+      }
+      assert(ex.getMessage.contains(s"edge 1 ($src->$dst)"))
+    }
+  }
+
+  test("fromEdges rejects NaN, infinite and negative weights") {
+    for (w <- Seq(Float.NaN, Float.PositiveInfinity, -0.5f)) {
+      assertThrows[IllegalArgumentException] {
+        CSRGraph.fromEdges(2, Array(0, 1), Array(1, 0), Array(1.0f, w))
+      }
+    }
+    // Zero-weight edges stay legal: they are never proposed.
+    assert(CSRGraph.fromEdges(2, Array(0, 1), Array(1, 0), Array(0f, 0f)).numDirectedEdges == 2)
+  }
+
   test("multigraph: duplicate edges are preserved") {
     val m = CSRGraph.fromUndirectedEdges(2, Array(0, 0), Array(1, 1), Array(1.0f, 2.0f))
     assert(m.degree(0) == 2)

@@ -78,4 +78,12 @@ class Edge2VecSpec extends AnyFunSuite {
   test("matrix must be square") {
     assertThrows[IllegalArgumentException](new Edge2Vec(1, 1, Array(Array(1.0, 2.0))))
   }
+
+  test("matrix entries must be finite and non-negative") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, -0.1)) {
+      val mat = Edge2Vec.defaultMatrix(3)
+      mat(4)(2) = bad
+      assertThrows[IllegalArgumentException](new Edge2Vec(1, 1, mat))
+    }
+  }
 }

@@ -1,9 +1,13 @@
 package repro.model
 
+import java.util.SplittableRandom
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
-import repro.core.WalkState
+import repro.core.{UniNet, WalkState}
+import repro.graph.CSRGraph
+import repro.sampler.{MHSamplerFactory, RandomInit}
 
 /** Node2vec model semantics (Eq. 2): the three alpha cases, the 2D state
   * layout, and KnightKing's outlier accounting.
@@ -95,6 +99,19 @@ class Node2VecSpec extends AnyFunSuite {
     val qDominates = new Node2Vec(0.5, 0.25) // 1/p = 2 < 1/q = 4
     assert(qDominates.outlierEdge(g, WalkState(1, 0, 0)) == -1)
     assert(out.outlierEdge(g, WalkState(-1, 0, 0)) == -1) // first step has none
+  }
+
+  test("asymmetric adjacency fails loudly instead of sharing a chain") {
+    // Directed 3-cycle 0 -> 1 -> 2 -> 0: no edge has a reverse.
+    val cycle = CSRGraph.fromEdges(3, Array(0, 1, 2), Array(1, 2, 0), Array(1f, 1f, 1f))
+    val m = new Node2Vec(0.5, 2.0)
+    val ex = intercept[IllegalArgumentException](m.affixture(cycle, WalkState(0, 1, 0)))
+    assert(ex.getMessage.contains("0->1"))
+    // The first step has its own slot; the second step hits the missing edge.
+    val sampler = new MHSamplerFactory(RandomInit).create(cycle, m)
+    intercept[IllegalArgumentException] {
+      UniNet.runWalk(cycle, m, sampler, 0, 3, new SplittableRandom(1))
+    }
   }
 
   test("hyper-parameters must be positive") {

@@ -55,7 +55,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
 
   test("precompute-all alias sampler matches node2vec's distribution") {
     val m = new Node2Vec(0.5, 2.0)
-    val f = new AliasSamplerFactory(precomputeAll = true)
+    val f = new AliasSamplerFactory
     f.prepare(g, m, parallel = false)
     val sampler = f.create(g, m)
     val s = WalkState(1, 0, 0)
@@ -65,7 +65,7 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
 
   test("precompute-all covers every state including the first-step slot") {
     val m = new Node2Vec(0.5, 2.0)
-    val f = new AliasSamplerFactory(precomputeAll = true)
+    val f = new AliasSamplerFactory
     f.prepare(g, m, parallel = true)
     val sampler = f.create(g, m)
     val s = m.initialState(g, 0)
@@ -75,27 +75,15 @@ class DirectAndAliasSamplerSpec extends AnyFunSuite {
 
   test("precompute-all reports the O(d * #state) memory footprint") {
     val m = new Node2Vec(1, 1)
-    val f = new AliasSamplerFactory(precomputeAll = true)
+    val f = new AliasSamplerFactory
     f.prepare(g, m, parallel = false)
     val expected = (0 until g.numNodes)
       .map(v => AliasMethod.tableBytes(g.degree(v)) * (g.degree(v) + 1)).sum
     assert(f.memoryBytes(g, m) == expected)
   }
 
-  test("lazy alias sampler matches the distribution and counts init work") {
-    val m = new Node2Vec(0.5, 2.0)
-    val f = new AliasSamplerFactory(precomputeAll = false)
-    f.prepare(g, m, parallel = false)
-    val sampler = f.create(g, m)
-    val s = WalkState(1, 0, 0)
-    val emp = TestGraphs.empiricalDistribution(g, sampler, s, 150_000)
-    assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
-    assert(sampler.stats.initCount == 1) // single state touched -> one build
-    assert(sampler.stats.lazyBytes == AliasMethod.tableBytes(g.degree(0)))
-  }
-
   test("create before prepare fails fast") {
-    val f = new AliasSamplerFactory(precomputeAll = true)
+    val f = new AliasSamplerFactory
     assertThrows[IllegalArgumentException](f.create(g, new DeepWalk))
   }
 }

@@ -13,10 +13,10 @@ class KnightKingSamplerSpec extends AnyFunSuite {
   private val g = TestGraphs.trianglePendant
 
   private def make(m: repro.core.RandomWalkModel,
-                   graph: repro.graph.CSRGraph = g): KnightKingSampler = {
-    val f = new KnightKingSamplerFactory
+                   graph: repro.graph.CSRGraph = g): RejectionSampler = {
+    val f = new RejectionSamplerFactory(knightKing = true)
     f.prepare(graph, m, parallel = false)
-    f.create(graph, m).asInstanceOf[KnightKingSampler]
+    f.create(graph, m).asInstanceOf[RejectionSampler]
   }
 
   test("matches node2vec's distribution when folding is active (p < 1)") {
@@ -52,7 +52,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
     val kk = make(m, star)
     TestGraphs.empiricalDistribution(star, kk, s, 100_000)
     val rej = {
-      val f = new RejectionSamplerFactory
+      val f = new RejectionSamplerFactory(knightKing = false)
       f.prepare(star, m, parallel = false)
       val smp = f.create(star, m)
       TestGraphs.empiricalDistribution(star, smp, s, 100_000)
@@ -93,7 +93,7 @@ class KnightKingSamplerSpec extends AnyFunSuite {
   }
 
   test("shares the static proposal's memory footprint") {
-    val f = new KnightKingSamplerFactory
+    val f = new RejectionSamplerFactory(knightKing = true)
     val m = new DeepWalk
     f.prepare(g, m, parallel = true)
     assert(f.memoryBytes(g, m) == AliasMethod.tableBytes(g.numDirectedEdges) + 8L * g.numNodes)

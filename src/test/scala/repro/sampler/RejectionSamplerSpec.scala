@@ -13,7 +13,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
   private val g = TestGraphs.trianglePendant
 
   private def sampler(m: repro.core.RandomWalkModel) = {
-    val f = new RejectionSamplerFactory
+    val f = new RejectionSamplerFactory(knightKing = false)
     f.prepare(g, m, parallel = false)
     (f, f.create(g, m))
   }
@@ -44,7 +44,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
     // known, so acceptance = mean(alpha) / max(alpha).
     val star = TestGraphs.starWithWeights(Seq(1, 1, 1, 1))
     val m = new Node2Vec(0.25, 1.0) // return alpha 4, others 1/q = 1
-    val f = new RejectionSamplerFactory
+    val f = new RejectionSamplerFactory(knightKing = false)
     f.prepare(star, m, parallel = false)
     val smp = f.create(star, m)
     val s = WalkState(1, 0, 0)
@@ -72,7 +72,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
   test("metapath masking: only matching types are returned, via fallback if needed") {
     val t = TestGraphs.typedGraph
     val m = new MetaPath2Vec(Array(0, 1, 2))
-    val f = new RejectionSamplerFactory
+    val f = new RejectionSamplerFactory(knightKing = false)
     f.prepare(t, m, parallel = false)
     val smp = f.create(t, m)
     val s = WalkState(-1, 0, 0) // target type 1: neighbors 1 and 4 only
@@ -90,6 +90,6 @@ class RejectionSamplerSpec extends AnyFunSuite {
   }
 
   test("create before prepare fails fast") {
-    assertThrows[IllegalArgumentException](new RejectionSamplerFactory().create(g, new DeepWalk))
+    assertThrows[IllegalArgumentException](new RejectionSamplerFactory(knightKing = false).create(g, new DeepWalk))
   }
 }
