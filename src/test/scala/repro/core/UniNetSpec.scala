@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.model.{DeepWalk, MetaPath2Vec, Node2Vec}
-import repro.sampler.{DirectSamplerFactory, HighWeightInit, MHSamplerFactory}
+import repro.sampler._
 
 /** Walker life cycle on Spark (Alg. 2): counts, lengths, edge validity,
   * parallel independence, and stats plumbing.
@@ -96,5 +96,40 @@ class UniNetSpec extends SparkSpec {
       spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 1, 3, 7, 21L)
     assert(rdd.getNumPartitions == 7)
     rdd.count()
+  }
+
+  // Spark-level golden: the walk job's corpus (collected in partition
+  // order) and its counters for fixed seeds. Guards the job around
+  // `runWalk` — partition split, per-partition RNG, counter flush — the
+  // way `CorpusGoldenSpec` guards the Spark-free walk loop.
+  private lazy val goldenGraph = TestGraphs.mediumGraph()
+  private lazy val bcGolden = spark.sparkContext.broadcast(goldenGraph)
+
+  /** (corpus hash, steps, trials, initCount, localBytes) per pair. */
+  private val JobGolden: Seq[(String, () => RandomWalkModel, () => SamplerFactory,
+                              (Long, Long, Long, Long, Long))] = Seq(
+    ("deepwalk x mh(Weight)", () => new DeepWalk, () => new MHSamplerFactory(HighWeightInit()),
+     (0x1CB2B052A8E3BBDAL, 4800L, 4800L, 785L, 3140L)),
+    ("node2vec x mh(Weight)", () => new Node2Vec(0.5, 2.0),
+     () => new MHSamplerFactory(HighWeightInit()),
+     (0xC6CA48AA6468F298L, 4800L, 4800L, 2395L, 30568L)),
+    ("node2vec x alias", () => new Node2Vec(0.5, 2.0), () => new AliasSamplerFactory,
+     (0x898A7F28C940F798L, 4800L, 4800L, 0L, 0L)),
+  )
+
+  for ((name, model, factory, expected) <- JobGolden) {
+    test(s"$name walk job corpus and counters are unchanged") {
+      val (m, f) = (model(), factory())
+      f.prepare(goldenGraph, m, parallel = false)
+      val (rdd, acc) = UniNet.generateWalks(spark, bcGolden, m, f, 2, 12, 4, 2021L)
+      var h = 0xCBF29CE484222325L
+      rdd.collect().foreach { walk =>
+        h = (h ^ walk.length) * 0x100000001B3L
+        walk.foreach { u => h = (h ^ u) * 0x100000001B3L; h ^= h >>> 31 }
+      }
+      val actual = (h, acc.steps.value, acc.trials.value, acc.initCount.value, acc.localBytes.value)
+      assert(actual == expected, f"actual (0x$h%016XL, ${actual._2}L, ${actual._3}L, " +
+        s"${actual._4}L, ${actual._5}L)")
+    }
   }
 }
