@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.storage.StorageLevel
 
 import repro.graph.CSRGraph
 import repro.sampler.SamplerFactory
@@ -70,20 +69,19 @@ object Pipeline {
 
     val t0 = System.nanoTime()
     factory.prepare(g, model, cfg.parallelPrepare)
-    // Shipping the prepared tables to the workers is initialization work.
-    val bcFactory = spark.sparkContext.broadcast(factory: SamplerFactory)
+    // generateWalks broadcasts the prepared tables: shipping them to the
+    // workers is initialization work.
+    val (walks, job) = UniNet.generateWalks(
+      spark, bcGraph, model, factory, cfg.numWalks, cfg.walkLen, cfg.partitions, cfg.seed)
     val prepSec = (System.nanoTime() - t0) / 1e9
 
-    val (walks, acc) = UniNet.generateWalksPrepared(
-      spark, bcGraph, model, bcFactory, cfg.numWalks, cfg.walkLen, cfg.partitions, cfg.seed)
-    walks.persist(StorageLevel.MEMORY_AND_DISK)
     val t1 = System.nanoTime()
     val walkCount = walks.count()
     val walkWallSec = (System.nanoTime() - t1) / 1e9
 
     // Lazy init ran interleaved inside the walk job on cfg.partitions
     // cores; its wall-clock share is the summed nanos / parallelism.
-    val lazyInitSec = acc.initNanos.value / 1e9 / math.max(1, cfg.partitions)
+    val lazyInitSec = job.initNanos.value / 1e9 / math.max(1, cfg.partitions)
     val tInit = prepSec + lazyInitSec
     val tWalk = math.max(0.0, walkWallSec - lazyInitSec)
 
@@ -101,17 +99,17 @@ object Pipeline {
     // Blocking: a lazily-dropped cache would GC-contaminate the next
     // benchmark run's timing.
     walks.unpersist(blocking = true)
-    bcFactory.destroy()
+    job.bcFactory.destroy()
     RunResult(
       PhaseTimes(tInit, tWalk, tLearn),
       walkCount = walkCount,
       tokenCount = tokenCount,
-      acceptanceRatio = acc.acceptanceRatio,
-      initCount = acc.initCount.value,
-      steps = acc.steps.value,
-      trials = acc.trials.value,
+      acceptanceRatio = job.accepts.value.toDouble / job.trials.value, // NaN if no trials
+      initCount = job.initCount.value,
+      steps = job.steps.value,
+      trials = job.trials.value,
       samplerSharedBytes = factory.memoryBytes(g, model),
-      samplerLocalBytes = acc.localBytes.value,
+      samplerLocalBytes = job.localBytes.value,
     )
   }
 }

@@ -35,8 +35,8 @@ trait RandomWalkModel extends Serializable {
   def isSecondOrder: Boolean
 
   /** Dynamic (unnormalized) weight w' of the edge at global index `e`
-    * (implicitly (s.cur -> g.dst(e))) under state `s`. Must be >= 0; a
-    * zero weight means the edge is forbidden under this state.
+    * (implicitly (s.cur -> g.dst(e))) under state `s`. Must be >= 0
+    * (samplers throw on NaN or negative); 0 forbids the edge in this state.
     */
   def calculateWeight(g: CSRGraph, s: WalkState, e: Int): Double
 

@@ -2,20 +2,24 @@ package repro.core
 
 import java.util.SplittableRandom
 
+import org.apache.spark.TaskContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.storage.StorageLevel
 import org.apache.spark.util.LongAccumulator
 
 import repro.graph.CSRGraph
-import repro.sampler.{EdgeSampler, MHSampler, SamplerFactory}
+import repro.sampler.{EdgeSampler, SamplerFactory}
 
-/** Aggregated sampling counters for one walk-generation job, flushed from
-  * each partition's [[repro.sampler.LocalStats]] when it completes.
+/** Driver-side handle of one walk job: the factory broadcast its tasks read
+  * (the caller destroys it when done with the corpus), and the counters each
+  * task flushes its [[repro.sampler.LocalStats]] into when it completes.
   */
-final class WalkAccumulators(@transient spark: SparkSession) extends Serializable {
-  // Note: only the accumulators may become fields — a captured
-  // SparkContext would make the walker closure unserializable.
+final class WalkJob(@transient spark: SparkSession, factory: SamplerFactory) extends Serializable {
+  // Note: only the broadcast and the accumulators may become fields — a
+  // captured SparkContext would make the walker closure unserializable.
+  val bcFactory: Broadcast[SamplerFactory] = spark.sparkContext.broadcast(factory)
   val steps: LongAccumulator = spark.sparkContext.longAccumulator("steps")
   val trials: LongAccumulator = spark.sparkContext.longAccumulator("trials")
   val accepts: LongAccumulator = spark.sparkContext.longAccumulator("accepts")
@@ -25,11 +29,14 @@ final class WalkAccumulators(@transient spark: SparkSession) extends Serializabl
   val initCount: LongAccumulator = spark.sparkContext.longAccumulator("initCount")
   val localBytes: LongAccumulator = spark.sparkContext.longAccumulator("localBytes")
 
-  /** Fraction of proposal trials accepted (rejection-style samplers) or
-    * of M-H candidates accepted; NaN when nothing was counted.
-    */
-  def acceptanceRatio: Double =
-    if (trials.value == 0) Double.NaN else accepts.value.toDouble / trials.value
+  private[core] def flush(sampler: EdgeSampler): Unit = {
+    val st = sampler.stats
+    steps.add(st.steps); trials.add(st.trials)
+    accepts.add(st.accepts); preAccepts.add(st.preAccepts)
+    fallbacks.add(st.fallbacks)
+    initNanos.add(st.initNanos); initCount.add(st.initCount)
+    localBytes.add(sampler.localBytes)
+  }
 }
 
 /** The UniNet walk engine (paper Alg. 2) on Spark.
@@ -68,8 +75,9 @@ object UniNet {
   }
 
   /** Generate `numWalks` walks of length `walkLen` per node (Alg. 2's
-    * K and L). The factory must already be `prepare`d; its shared tables
-    * ride inside the broadcast.
+    * K and L). The `prepare`d factory is broadcast here. The corpus is
+    * persisted (MEMORY_AND_DISK) where it is made, so later actions read
+    * the cache and the counters count each walk exactly once.
     */
   def generateWalks(
       spark: SparkSession,
@@ -80,58 +88,20 @@ object UniNet {
       walkLen: Int,
       numPartitions: Int,
       seed: Long,
-  ): (RDD[Array[Int]], WalkAccumulators) =
-    generateWalksPrepared(spark, bcGraph, model,
-                          spark.sparkContext.broadcast(factory),
-                          numWalks, walkLen, numPartitions, seed)
-
-  /** As [[generateWalks]] but with the factory already broadcast — lets
-    * callers (Pipeline) attribute the broadcast's serialization cost
-    * (large for samplers with shared tables) to the init phase.
-    */
-  def generateWalksPrepared(
-      spark: SparkSession,
-      bcGraph: Broadcast[CSRGraph],
-      model: RandomWalkModel,
-      bcFactory: Broadcast[SamplerFactory],
-      numWalks: Int,
-      walkLen: Int,
-      numPartitions: Int,
-      seed: Long,
-  ): (RDD[Array[Int]], WalkAccumulators) = {
-    val sc = spark.sparkContext
-    val acc = new WalkAccumulators(spark)
+  ): (RDD[Array[Int]], WalkJob) = {
+    val job = new WalkJob(spark, factory)
     val n = bcGraph.value.numNodes
-    val walks = sc
+    val walks = spark.sparkContext
       .range(0L, n.toLong * numWalks, 1L, numPartitions)
       .mapPartitionsWithIndex { (pid, it) =>
         val g = bcGraph.value
-        val sampler = bcFactory.value.create(g, model)
+        val sampler = job.bcFactory.value.create(g, model)
+        // Flushed exactly once, when this task completes.
+        TaskContext.get().addTaskCompletionListener[Unit](_ => job.flush(sampler))
         val rng = new SplittableRandom(seed * 1000003L + pid)
-        val inner = it.map(i => runWalk(g, model, sampler, (i % n).toInt, walkLen, rng))
-        // Flush partition-local counters exactly once, when exhausted.
-        new Iterator[Array[Int]] {
-          private var flushed = false
-          override def hasNext: Boolean = {
-            val h = inner.hasNext
-            if (!h && !flushed) {
-              flushed = true
-              val st = sampler.stats
-              acc.steps.add(st.steps); acc.trials.add(st.trials)
-              acc.accepts.add(st.accepts); acc.preAccepts.add(st.preAccepts)
-              acc.fallbacks.add(st.fallbacks)
-              acc.initNanos.add(st.initNanos); acc.initCount.add(st.initCount)
-              val mgrBytes = sampler match {
-                case m: MHSampler => m.managerBytes
-                case _            => 0L
-              }
-              acc.localBytes.add(st.lazyBytes + mgrBytes)
-            }
-            h
-          }
-          override def next(): Array[Int] = inner.next()
-        }
+        it.map(i => runWalk(g, model, sampler, (i % n).toInt, walkLen, rng))
       }
-    (walks, acc)
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    (walks, job)
   }
 }

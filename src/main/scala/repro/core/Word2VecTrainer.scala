@@ -17,16 +17,14 @@ object Word2VecTrainer {
       walks: RDD[Array[Int]],
       dim: Int = 16,
       numPartitions: Int = 8,
-      iterations: Int = 1,
-      window: Int = 5,
       seed: Long = 42L,
   ): Word2VecModel = {
     val corpus = walks.map(w => w.map(_.toString).toSeq)
     new Word2Vec()
       .setVectorSize(dim)
       .setNumPartitions(numPartitions)
-      .setNumIterations(iterations)
-      .setWindowSize(window)
+      .setNumIterations(1) // one epoch (DESIGN.md §3)
+      .setWindowSize(5)
       .setMinCount(0)
       .setSeed(seed)
       .fit(corpus)

@@ -6,7 +6,7 @@ import repro.core.{RandomWalkModel, WalkState}
 import repro.graph.CSRGraph
 
 /** Per-partition mutable sampling counters, flushed into Spark
-  * accumulators when a partition finishes (see UniNet.generateWalks).
+  * accumulators when a walk task completes (see UniNet.generateWalks).
   * `trials`/`accepts` give the measured acceptance ratio of
   * rejection-style samplers (Table II); `initNanos` separates lazy
   * initialization work out of the walking phase (Ti vs Tw in Table VI).
@@ -30,6 +30,9 @@ final class LocalStats {
 trait EdgeSampler {
   def sample(s: WalkState, rng: SplittableRandom): Int
   def stats: LocalStats
+
+  /** Bytes of partition-local sampler state allocated so far. */
+  def localBytes: Long = stats.lazyBytes
 }
 
 /** Factory for [[EdgeSampler]]s. `prepare` runs once on the driver and
@@ -63,30 +66,48 @@ private[sampler] object SamplerUtil {
     */
   def directDraw(g: CSRGraph, model: RandomWalkModel, s: WalkState,
                  rng: SplittableRandom): Int = {
-    val v = s.cur
-    val lo = g.offset(v); val hi = lo + g.degree(v)
+    val lo = g.offset(s.cur)
+    val w = dynamicWeights(g, model, s)
     var total = 0.0
-    var e = lo
-    while (e < hi) { total += model.calculateWeight(g, s, e); e += 1 }
+    var j = 0
+    while (j < w.length) { total += w(j); j += 1 }
     if (total <= 0) return -1
     var r = rng.nextDouble() * total
-    e = lo
-    while (e < hi) {
-      r -= model.calculateWeight(g, s, e)
-      if (r <= 0) return e
-      e += 1
+    j = 0
+    while (j < w.length) {
+      r -= w(j)
+      if (r <= 0) return lo + j
+      j += 1
     }
-    hi - 1
+    lo + w.length - 1
   }
 
-  /** Dynamic weights of N(v) under state `s` as an array (alias builds). */
+  /** Dynamic weights of N(s.cur) under state `s` (alias builds, direct draws). */
   def dynamicWeights(g: CSRGraph, model: RandomWalkModel, s: WalkState): Array[Double] = {
     val lo = g.offset(s.cur); val d = g.degree(s.cur)
     val w = new Array[Double](d)
     var j = 0
-    while (j < d) { w(j) = model.calculateWeight(g, s, lo + j); j += 1 }
+    while (j < d) {
+      val x = model.calculateWeight(g, s, lo + j)
+      w(j) = if (permitted(g, model, s, lo + j, x)) x else 0.0
+      j += 1
+    }
     w
   }
+
+  /** Whether `w`, edge `e`'s dynamic weight (or bias w'/w) under state `s`,
+    * permits the edge; 0 forbids it, NaN or negative throws. The throw is
+    * out of line, so hot loops inline one comparison for a positive `w`.
+    */
+  @inline def permitted(g: CSRGraph, model: RandomWalkModel, s: WalkState, e: Int,
+                        w: Double): Boolean =
+    w > 0 || (w != 0 && badWeight(g, model, s, e, w))
+
+  private def badWeight(g: CSRGraph, model: RandomWalkModel, s: WalkState, e: Int,
+                        w: Double): Nothing =
+    throw new IllegalArgumentException(
+      s"${model.name}: edge $e (${s.cur} -> ${g.dst(e)}) under state $s has dynamic " +
+      s"weight or bias $w; both must be >= 0")
 
   /** Run `body(v)` for every node, optionally on the common ForkJoin pool —
     * scala-parallel-collections is not on the offline classpath, so driver

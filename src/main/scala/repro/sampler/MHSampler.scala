@@ -4,6 +4,7 @@ import java.util.SplittableRandom
 
 import repro.core.{RandomWalkModel, SamplerManager, WalkState}
 import repro.graph.CSRGraph
+import SamplerUtil.permitted
 
 /** Initialization strategy for an M-H edge sampler's Markov chain
   * (paper §III-C): how to pick LAST_x the first time a state is touched.
@@ -58,6 +59,7 @@ final class MHSampler(
   private val mgr = new SamplerManager(g, v => model.bucketSize(g, v))
 
   def managerBytes: Long = mgr.memoryBytes
+  override def localBytes: Long = managerBytes
 
   /** Uniform draw of a permitted (w' > 0) edge of N(v): up to 32 random
     * probes, then a linear scan fallback; -1 when no edge is permitted.
@@ -67,7 +69,7 @@ final class MHSampler(
     var probe = 0
     while (probe < 32) {
       val e = lo + rng.nextInt(d)
-      if (model.calculateWeight(g, s, e) > 0) return e
+      if (permitted(g, model, s, e, model.calculateWeight(g, s, e))) return e
       probe += 1
     }
     // Scan from a random rotation so the fallback stays unbiased-ish.
@@ -75,7 +77,7 @@ final class MHSampler(
     var j = 0
     while (j < d) {
       val e = lo + (j + rot) % d
-      if (model.calculateWeight(g, s, e) > 0) return e
+      if (permitted(g, model, s, e, model.calculateWeight(g, s, e))) return e
       j += 1
     }
     -1
@@ -90,7 +92,7 @@ final class MHSampler(
         var j = 0
         while (j < d) {
           val w = model.calculateWeight(g, s, lo + j)
-          if (w > bestW) { bestW = w; best = lo + j }
+          if (permitted(g, model, s, lo + j, w) && w > bestW) { bestW = w; best = lo + j }
           j += 1
         }
       } else { // approximate max over k uniform probes
@@ -98,7 +100,7 @@ final class MHSampler(
         while (j < k) {
           val e = lo + rng.nextInt(d)
           val w = model.calculateWeight(g, s, e)
-          if (w > bestW) { bestW = w; best = e }
+          if (permitted(g, model, s, e, w) && w > bestW) { bestW = w; best = e }
           j += 1
         }
         if (best < 0) best = randomPermitted(s, rng)
@@ -112,9 +114,9 @@ final class MHSampler(
         while (i < iters) {
           val cand = lo + rng.nextInt(d)
           val wc = model.calculateWeight(g, s, cand)
-          if (wc > 0) {
+          if (permitted(g, model, s, cand, wc)) {
             val wl = model.calculateWeight(g, s, last)
-            if (wl <= 0 || rng.nextDouble() * wl < wc) last = cand
+            if (!permitted(g, model, s, last, wl) || rng.nextDouble() * wl < wc) last = cand
           }
           i += 1
         }
@@ -142,9 +144,9 @@ final class MHSampler(
     stats.trials += 1
     val cand = g.offset(v) + rng.nextInt(d)
     val wc = model.calculateWeight(g, s, cand)
-    if (wc > 0) {
+    if (permitted(g, model, s, cand, wc)) {
       val wl = model.calculateWeight(g, s, last)
-      if (wl <= 0 || rng.nextDouble() * wl < wc) {
+      if (!permitted(g, model, s, last, wl) || rng.nextDouble() * wl < wc) {
         last = cand
         stats.accepts += 1
       }

@@ -57,6 +57,8 @@ final class MemoryAwareSampler(
   override val stats = new LocalStats
   // Per-partition lazy cache of dynamic alias tables for assigned states.
   private val cache = new Array[Array[AliasTable]](g.numNodes)
+  // Cache entry of a state whose dynamic weights are all 0.
+  private val noEdge = new AliasTable(Array.emptyDoubleArray, Array.emptyIntArray)
 
   override def sample(s: WalkState, rng: SplittableRandom): Int = {
     val v = s.cur
@@ -75,11 +77,13 @@ final class MemoryAwareSampler(
     if (t == null) {
       val t0 = System.nanoTime()
       t = AliasMethod.build(SamplerUtil.dynamicWeights(g, model, s))
+      // A state with no permitted edge is remembered, not rebuilt per visit.
+      if (t == null) t = noEdge
+      else stats.lazyBytes += AliasMethod.tableBytes(d)
       row(a) = t
       stats.initNanos += System.nanoTime() - t0
       stats.initCount += 1
-      stats.lazyBytes += AliasMethod.tableBytes(d)
     }
-    if (t == null) -1 else g.offset(v) + t.draw(rng)
+    if (t eq noEdge) -1 else g.offset(v) + t.draw(rng)
   }
 }

@@ -128,7 +128,7 @@ final class RejectionSampler(
       // In the folded area the outlier's contribution is capped at the
       // envelope (the surplus lives in the mixture's outlier area).
       val bias = math.min(model.bias(g, s, e), envelope)
-      if (bias > 0 && r * envelope < bias) {
+      if (SamplerUtil.permitted(g, model, s, e, bias) && r * envelope < bias) {
         stats.accepts += 1
         return e
       }

@@ -98,6 +98,27 @@ class UniNetSpec extends SparkSpec {
     rdd.count()
   }
 
+  private def counters(acc: WalkJob): Seq[Long] =
+    Seq(acc.steps, acc.trials, acc.accepts, acc.preAccepts, acc.fallbacks,
+        acc.initNanos, acc.initCount, acc.localBytes).map(_.value)
+
+  test("a second action on the corpus leaves every counter unchanged") {
+    val (rdd, acc) = UniNet.generateWalks(
+      spark, bcG, new Node2Vec(0.5, 2.0), new MHSamplerFactory(HighWeightInit()), 1, 10, 4, 17L)
+    rdd.count()
+    val first = counters(acc)
+    assert(first.head == g.numNodes * 10L)
+    rdd.count()
+    assert(counters(acc) == first)
+  }
+
+  test("a partial action (take) still flushes the counters") {
+    val (rdd, acc) = UniNet.generateWalks(
+      spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 1, 10, 4, 19L)
+    assert(rdd.take(1).length == 1)
+    assert(acc.steps.value > 0)
+  }
+
   // Spark-level golden: the walk job's corpus (collected in partition
   // order) and its counters for fixed seeds. Guards the job around
   // `runWalk` — partition split, per-partition RNG, counter flush — the

@@ -9,12 +9,10 @@ class Word2VecTrainerSpec extends SparkSpec {
 
   private lazy val g = TestGraphs.mediumGraph(n = 60, mult = 3)
 
-  private lazy val corpus = {
-    val bcG = spark.sparkContext.broadcast(g)
-    val (rdd, _) = UniNet.generateWalks(
-      spark, bcG, new DeepWalk, new MHSamplerFactory(HighWeightInit()), 5, 10, 4, 41L)
-    rdd.cache()
-  }
+  // generateWalks persists the corpus, so every test reads the same walks.
+  private lazy val corpus = UniNet.generateWalks(
+    spark, spark.sparkContext.broadcast(g), new DeepWalk,
+    new MHSamplerFactory(HighWeightInit()), 5, 10, 4, 41L)._1
 
   test("embeddings have the configured dimensionality") {
     val model = Word2VecTrainer.train(corpus, dim = 12, numPartitions = 2)

@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.core.WalkState
-import repro.model.Node2Vec
+import repro.graph.GraphGen
+import repro.model.{MetaPath2Vec, Node2Vec}
 
 /** Memory-aware sampler: budget-constrained alias assignment (SIGMOD'20
   * substrate) — correctness under any budget, greedy high-degree-first
@@ -76,5 +77,20 @@ class MemoryAwareSamplerSpec extends AnyFunSuite {
     val s = WalkState(g.dst(g.offset(hub)), hub, 0)
     val emp = TestGraphs.empiricalDistribution(g, smp, s, 150_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.03)
+  }
+
+  test("a state with no permitted edge is initialized once and remembered") {
+    // Node 1 (type 0) has only a type-0 neighbor, so metapath 0-1 forbids
+    // every edge of its position-0 state.
+    val t = GraphGen.fromTriples(3, Seq((0, 1, 1.0), (0, 2, 1.0)), Array[Byte](0, 0, 1), 2)
+    val mp = new MetaPath2Vec(Array(0, 1))
+    val f = new MemoryAwareSamplerFactory(Long.MaxValue)
+    f.prepare(t, mp, parallel = false)
+    val smp = f.create(t, mp)
+    val s = mp.initialState(t, 1)
+    val rng = new java.util.SplittableRandom(5)
+    (0 until 5).foreach(_ => assert(smp.sample(s, rng) == -1))
+    assert(smp.stats.initCount == 1)
+    assert(smp.stats.lazyBytes == 0L) // no table is stored for it
   }
 }
