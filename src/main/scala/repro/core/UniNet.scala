@@ -41,8 +41,9 @@ final class WalkJob(@transient spark: SparkSession, factory: SamplerFactory) ext
 
 /** The UniNet walk engine (paper Alg. 2) on Spark.
   *
-  * The CSR network is broadcast once; walkers are a range RDD of
-  * (startNode, walkIndex) pairs, split over `numPartitions` partitions.
+  * The CSR network is broadcast once; walkers are the indices
+  * [0, numNodes * numWalks), split into `numPartitions` contiguous slices
+  * (walker i starts at node i % numNodes).
   * Each partition instantiates one edge sampler from the (broadcast,
   * already-prepared) factory — sampler state such as LAST_x or lazy alias
   * caches is partition-local, mirroring the paper's per-thread walkers:
@@ -91,15 +92,19 @@ object UniNet {
   ): (RDD[Array[Int]], WalkJob) = {
     val job = new WalkJob(spark, factory)
     val n = bcGraph.value.numNodes
+    val total = n.toLong * numWalks
+    // Partition pid runs walkers [pid * total / P, (pid + 1) * total / P):
+    // sc.range's slices, without the milliseconds sc.range takes to build.
     val walks = spark.sparkContext
-      .range(0L, n.toLong * numWalks, 1L, numPartitions)
-      .mapPartitionsWithIndex { (pid, it) =>
+      .parallelize(0 until numPartitions, numPartitions)
+      .mapPartitionsWithIndex { (pid, _) =>
         val g = bcGraph.value
         val sampler = job.bcFactory.value.create(g, model)
         // Flushed exactly once, when this task completes.
         TaskContext.get().addTaskCompletionListener[Unit](_ => job.flush(sampler))
         val rng = new SplittableRandom(seed * 1000003L + pid)
-        it.map(i => runWalk(g, model, sampler, (i % n).toInt, walkLen, rng))
+        (pid * total / numPartitions until (pid + 1) * total / numPartitions).iterator
+          .map(i => runWalk(g, model, sampler, (i % n).toInt, walkLen, rng))
       }
       .persist(StorageLevel.MEMORY_AND_DISK)
     (walks, job)
