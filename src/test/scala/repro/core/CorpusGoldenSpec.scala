@@ -11,9 +11,11 @@ import repro.sampler._
 
 /** Golden fixed-seed walk corpora, without Spark: for every model x
   * sampler pair, the walks `UniNet.runWalk` emits from every node of a
-  * `TestGraphs` graph hash to one committed 64-bit value. A refactor that
+  * `TestGraphs` graph hash to one committed 64-bit value, and the sampler's
+  * work counters after that corpus match a committed row. A refactor that
   * keeps each sampler's RNG consumption must keep every hash; a hash that
-  * changes must be explained by a changed draw order.
+  * changes must be explained by a changed draw order. The counter rows
+  * catch a counter bumped in the wrong place, which no hash sees.
   */
 class CorpusGoldenSpec extends AnyFunSuite {
   private val homogeneous = TestGraphs.mediumGraph()
@@ -68,8 +70,10 @@ class CorpusGoldenSpec extends AnyFunSuite {
 
   /** Two walks of length 12 from every node, in node order, one sampler
     * and one RNG for the whole corpus (one partition's worth of work).
+    * Returns the corpus hash and the sampler that walked it.
     */
-  private def corpusHash(g: CSRGraph, model: RandomWalkModel, factory: SamplerFactory): Long = {
+  private def walkCorpus(g: CSRGraph, model: RandomWalkModel,
+                         factory: SamplerFactory): (Long, EdgeSampler) = {
     factory.prepare(g, model, parallel = false)
     val sampler = factory.create(g, model)
     val rng = new SplittableRandom(20211L)
@@ -79,13 +83,82 @@ class CorpusGoldenSpec extends AnyFunSuite {
       h = (h ^ walk.length) * 0x100000001B3L
       walk.foreach { u => h = (h ^ u) * 0x100000001B3L; h ^= h >>> 31 }
     }
-    h
+    (h, sampler)
   }
+
+  /** The work counters a corpus leaves behind: (steps, trials, accepts,
+    * preAccepts, fallbacks, initCount, localBytes). `initNanos` is a clock
+    * reading, so it is not pinned.
+    */
+  private def counters(sampler: EdgeSampler): Seq[Long] = {
+    val st = sampler.stats
+    Seq(st.steps, st.trials, st.accepts, st.preAccepts, st.fallbacks, st.initCount,
+        sampler.localBytes)
+  }
+
+  /** Committed counters, one row per model in `samplers` order. */
+  private val ExpectedCounters: Map[(String, String), Seq[Long]] = Map(
+    "deepwalk" -> Seq(
+      Seq(4800L, 55589L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 4800L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 4800L, 4800L, 0L, 0L, 0L),
+      Seq(4800L, 55589L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 0L, 0L, 0L, 200L, 23304L),
+      Seq(4800L, 4800L, 4061L, 0L, 0L, 200L, 800L),
+      Seq(4800L, 4800L, 4002L, 0L, 0L, 200L, 800L),
+      Seq(4800L, 4800L, 4047L, 0L, 0L, 200L, 800L)),
+    "node2vec" -> Seq(
+      Seq(4800L, 55789L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 13496L, 4800L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 8053L, 4800L, 3420L, 0L, 0L, 0L),
+      Seq(4800L, 55789L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 0L, 0L, 0L, 1828L, 253236L),
+      Seq(4800L, 4800L, 3666L, 0L, 0L, 1825L, 8568L),
+      Seq(4800L, 4800L, 2209L, 0L, 0L, 1617L, 8568L),
+      Seq(4800L, 4800L, 3212L, 0L, 0L, 1790L, 8568L)),
+    "metapath2vec" -> Seq(
+      Seq(3027L, 35925L, 0L, 0L, 0L, 0L, 0L),
+      Seq(2958L, 2958L, 0L, 0L, 0L, 0L, 0L),
+      Seq(2989L, 36221L, 2717L, 0L, 272L, 0L, 0L),
+      Seq(2989L, 36221L, 2717L, 0L, 272L, 0L, 0L),
+      Seq(3027L, 35925L, 0L, 0L, 0L, 0L, 0L),
+      Seq(2958L, 2958L, 0L, 0L, 0L, 200L, 21804L),
+      Seq(2948L, 2676L, 786L, 0L, 0L, 456L, 2400L),
+      Seq(3082L, 2811L, 753L, 0L, 0L, 455L, 2400L),
+      Seq(2883L, 2591L, 738L, 0L, 0L, 476L, 2400L)),
+    "edge2vec" -> Seq(
+      Seq(4800L, 55582L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 25311L, 4800L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 25311L, 4800L, 1455L, 0L, 0L, 0L),
+      Seq(4800L, 55582L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 0L, 0L, 0L, 1791L, 247728L),
+      Seq(4800L, 4800L, 3463L, 0L, 0L, 1753L, 8568L),
+      Seq(4800L, 4800L, 2373L, 0L, 0L, 1557L, 8568L),
+      Seq(4800L, 4800L, 3031L, 0L, 0L, 1679L, 8568L)),
+    "fairwalk" -> Seq(
+      Seq(4800L, 55025L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 55902L, 4798L, 0L, 2L, 0L, 0L),
+      Seq(4800L, 55902L, 4798L, 0L, 2L, 0L, 0L),
+      Seq(4800L, 55025L, 0L, 0L, 0L, 0L, 0L),
+      Seq(4800L, 4800L, 0L, 0L, 0L, 1675L, 230292L),
+      Seq(4800L, 4800L, 3450L, 0L, 0L, 1776L, 8568L),
+      Seq(4800L, 4800L, 2133L, 0L, 0L, 1372L, 8568L),
+      Seq(4800L, 4800L, 2883L, 0L, 0L, 1598L, 8568L)),
+  ).flatMap { case (m, cs) => samplers.map(_._1).zip(cs).map { case (s, c) => (m, s) -> c } }
 
   for ((mName, g, model) <- models; (sName, factory) <- samplers) {
     test(s"$mName x $sName corpus hash is unchanged") {
-      val h = corpusHash(g, model(), factory())
+      val (h, _) = walkCorpus(g, model(), factory())
       assert(Expected.get((mName, sName)).contains(h), f"actual 0x$h%016XL")
+    }
+    test(s"$mName x $sName counters are unchanged") {
+      val (_, sampler) = walkCorpus(g, model(), factory())
+      val c = counters(sampler)
+      assert(ExpectedCounters.get((mName, sName)).contains(c), c.mkString("actual Seq(", "L, ", "L)"))
     }
   }
 }
