@@ -21,18 +21,22 @@ object AliasMethod {
   /** Bytes an n-entry table occupies: one double + one int per entry. */
   def tableBytes(n: Int): Long = 12L * n
 
+  /** The size-0 table of a distribution with no mass. */
+  val empty = new AliasTable(Array.emptyDoubleArray, Array.emptyIntArray)
+
   /** Vose's stable alias construction. Weights must be >= 0 with a
     * positive sum; zero-weight entries get probability 0 (their slot
-    * always forwards to an alias). Returns null when the sum is 0 —
-    * callers treat that as "no permitted edge".
+    * always forwards to an alias). Returns the empty table when there is
+    * no weight or the sum is 0; callers test `size == 0` for "no permitted
+    * edge" (a broadcast copy is not `eq` to `empty`).
     */
   def build(weights: Array[Double]): AliasTable = {
     val n = weights.length
-    if (n == 0) return null
+    if (n == 0) return empty
     var sum = 0.0
     var i = 0
     while (i < n) { require(weights(i) >= 0, "negative weight"); sum += weights(i); i += 1 }
-    if (sum <= 0) return null
+    if (sum <= 0) return empty
     val prob = new Array[Double](n)
     val alias = new Array[Int](n)
     val scaled = new Array[Double](n)

@@ -54,16 +54,11 @@ final class AliasSampler(
     g: CSRGraph,
     model: RandomWalkModel,
     tables: Array[Array[AliasTable]],
-) extends EdgeSampler {
-  override val stats = new LocalStats
-
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
-    val d = g.degree(s.cur)
-    if (d == 0) return -1
-    stats.steps += 1
+) extends EdgeSampler(g, model) {
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     stats.trials += 1
     val t = tables(s.cur)(model.affixture(g, s))
-    if (t == null) -1 // every dynamic weight is 0 under this state
+    if (t.size == 0) -1 // every dynamic weight is 0 under this state
     else g.offset(s.cur) + t.draw(rng)
   }
 }

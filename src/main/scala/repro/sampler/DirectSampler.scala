@@ -20,14 +20,7 @@ object DirectSamplerFactory extends SamplerFactory {
   override def memoryBytes(g: CSRGraph, model: RandomWalkModel): Long = 0L
 }
 
-final class DirectSampler(g: CSRGraph, model: RandomWalkModel) extends EdgeSampler {
-  override val stats = new LocalStats
-
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
-    val d = g.degree(s.cur)
-    if (d == 0) return -1
-    stats.steps += 1
-    stats.trials += d // O(deg) weight evaluations per draw
-    SamplerUtil.directDraw(g, model, s, rng)
-  }
+final class DirectSampler(g: CSRGraph, model: RandomWalkModel) extends EdgeSampler(g, model) {
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int =
+    directStep(s, d, rng)
 }

@@ -5,8 +5,8 @@ import java.util.SplittableRandom
 import repro.core.{RandomWalkModel, WalkState}
 import repro.graph.CSRGraph
 
-/** Per-partition mutable sampling counters, flushed into Spark
-  * accumulators when a walk task completes (see UniNet.generateWalks).
+/** Per-partition mutable work counters, flushed into Spark accumulators
+  * when a walk task completes (see UniNet.generateWalks).
   * `trials`/`accepts` give the measured acceptance ratio of
   * rejection-style samplers (Table II); `initNanos` separates lazy
   * initialization work out of the walking phase (Ti vs Tw in Table VI).
@@ -19,20 +19,48 @@ final class LocalStats {
   var fallbacks: Long = 0
   var initNanos: Long = 0
   var initCount: Long = 0
-  var lazyBytes: Long = 0
 }
 
 /** A stateful edge sampler bound to one (graph, model) pair, owned by one
   * walker-executing partition. `sample` returns the chosen *global edge
   * index* (the next step is its destination), or -1 when the state admits
   * no edge and the walk must terminate.
+  *
+  * The bookkeeping every sampler shares lives here; a sampler implements
+  * only its `draw`.
   */
-trait EdgeSampler {
-  def sample(s: WalkState, rng: SplittableRandom): Int
-  def stats: LocalStats
+abstract class EdgeSampler(g: CSRGraph, model: RandomWalkModel) {
+  final val stats = new LocalStats
 
   /** Bytes of partition-local sampler state allocated so far. */
-  def localBytes: Long = stats.lazyBytes
+  def localBytes: Long = 0L
+
+  final def sample(s: WalkState, rng: SplittableRandom): Int = {
+    val d = g.degree(s.cur)
+    if (d == 0) return -1
+    stats.steps += 1
+    draw(s, d, rng)
+  }
+
+  /** One draw for state `s`, whose node has degree `d` > 0. */
+  protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int
+
+  /** The O(deg) direct draw, counting its `d` weight evaluations as trials. */
+  protected final def directStep(s: WalkState, d: Int, rng: SplittableRandom): Int = {
+    stats.trials += d
+    SamplerUtil.directDraw(g, model, s, rng)
+  }
+
+  /** Lazy per-state initialization is timed between `initStart()` and
+    * `initDone(t0)`; both run on every init, so init-heavy walks pay no
+    * closure per init.
+    */
+  protected final def initStart(): Long = System.nanoTime()
+
+  protected final def initDone(t0: Long): Unit = {
+    stats.initNanos += System.nanoTime() - t0
+    stats.initCount += 1
+  }
 }
 
 /** Factory for [[EdgeSampler]]s. `prepare` runs once on the driver and

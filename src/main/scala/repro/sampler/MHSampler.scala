@@ -54,8 +54,7 @@ final class MHSampler(
     g: CSRGraph,
     model: RandomWalkModel,
     init: InitStrategy,
-) extends EdgeSampler {
-  override val stats = new LocalStats
+) extends EdgeSampler(g, model) {
   private val mgr = new SamplerManager(g, v => model.bucketSize(g, v))
 
   def managerBytes: Long = mgr.memoryBytes
@@ -83,74 +82,61 @@ final class MHSampler(
     -1
   }
 
-  private def initialEdge(s: WalkState, rng: SplittableRandom): Int = init match {
+  private def initialEdge(s: WalkState, d: Int, rng: SplittableRandom): Int = init match {
     case RandomInit => randomPermitted(s, rng)
     case HighWeightInit(k) =>
-      val lo = g.offset(s.cur); val d = g.degree(s.cur)
+      // The exact max over N(v) when d <= k, else the max over k uniform probes.
+      val lo = g.offset(s.cur)
+      val exact = d <= k
+      val n = if (exact) d else k
       var best = -1; var bestW = 0.0
-      if (d <= k) { // exact max
-        var j = 0
-        while (j < d) {
-          val w = model.calculateWeight(g, s, lo + j)
-          if (permitted(g, model, s, lo + j, w) && w > bestW) { bestW = w; best = lo + j }
-          j += 1
-        }
-      } else { // approximate max over k uniform probes
-        var j = 0
-        while (j < k) {
-          val e = lo + rng.nextInt(d)
-          val w = model.calculateWeight(g, s, e)
-          if (permitted(g, model, s, e, w) && w > bestW) { bestW = w; best = e }
-          j += 1
-        }
-        if (best < 0) best = randomPermitted(s, rng)
+      var j = 0
+      while (j < n) {
+        val e = if (exact) lo + j else lo + rng.nextInt(d)
+        val w = model.calculateWeight(g, s, e)
+        if (permitted(g, model, s, e, w) && w > bestW) { bestW = w; best = e }
+        j += 1
       }
-      best
+      if (best < 0 && !exact) randomPermitted(s, rng) else best
     case BurnInInit(iters) =>
       var last = randomPermitted(s, rng)
-      if (last >= 0) {
-        val lo = g.offset(s.cur); val d = g.degree(s.cur)
-        var i = 0
-        while (i < iters) {
-          val cand = lo + rng.nextInt(d)
-          val wc = model.calculateWeight(g, s, cand)
-          if (permitted(g, model, s, cand, wc)) {
-            val wl = model.calculateWeight(g, s, last)
-            if (!permitted(g, model, s, last, wl) || rng.nextDouble() * wl < wc) last = cand
-          }
-          i += 1
-        }
+      var i = 0
+      while (last >= 0 && i < iters) {
+        val cand = transition(s, d, last, rng)
+        if (cand >= 0) last = cand
+        i += 1
       }
       last
   }
 
-  /** Alg. 1: one M-H transition of state x's chain, returning LAST_x. */
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
-    val v = s.cur
-    val d = g.degree(v)
-    if (d == 0) return -1
-    stats.steps += 1
-    val bucket = mgr.bucket(v)
-    val a = model.affixture(g, s)
-    var last = bucket(a)
-    if (last < 0) {
-      val t0 = System.nanoTime()
-      last = initialEdge(s, rng)
-      stats.initNanos += System.nanoTime() - t0
-      stats.initCount += 1
-      if (last < 0) return -1 // no permitted edge: the walk is stuck
-    }
-    // Draw a uniform candidate and accept with min{1, w'(cand)/w'(last)}.
-    stats.trials += 1
-    val cand = g.offset(v) + rng.nextInt(d)
+  /** Alg. 1's proposal and acceptance test from LAST_x = `last`: draw a
+    * uniform candidate edge and accept it with θ = min{1, w'(cand)/w'(last)}.
+    * Returns the accepted candidate, or -1 when it is rejected.
+    */
+  private def transition(s: WalkState, d: Int, last: Int, rng: SplittableRandom): Int = {
+    val cand = g.offset(s.cur) + rng.nextInt(d)
     val wc = model.calculateWeight(g, s, cand)
     if (permitted(g, model, s, cand, wc)) {
       val wl = model.calculateWeight(g, s, last)
-      if (!permitted(g, model, s, last, wl) || rng.nextDouble() * wl < wc) {
-        last = cand
-        stats.accepts += 1
-      }
+      if (!permitted(g, model, s, last, wl) || rng.nextDouble() * wl < wc) return cand
     }
+    -1
+  }
+
+  /** Alg. 1: one M-H transition of state x's chain, returning LAST_x. */
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
+    val bucket = mgr.bucket(s.cur)
+    val a = model.affixture(g, s)
+    var last = bucket(a)
+    if (last < 0) {
+      val t0 = initStart()
+      last = initialEdge(s, d, rng)
+      initDone(t0)
+      if (last < 0) return -1 // no permitted edge: the walk is stuck
+    }
+    stats.trials += 1
+    val cand = transition(s, d, last, rng)
+    if (cand >= 0) { last = cand; stats.accepts += 1 }
     bucket(a) = last
     last
   }

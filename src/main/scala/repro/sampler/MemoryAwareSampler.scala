@@ -53,37 +53,29 @@ final class MemoryAwareSampler(
     g: CSRGraph,
     model: RandomWalkModel,
     aliasEnabled: Array[Boolean],
-) extends EdgeSampler {
-  override val stats = new LocalStats
-  // Per-partition lazy cache of dynamic alias tables for assigned states.
+) extends EdgeSampler(g, model) {
+  // Per-partition lazy cache of dynamic alias tables for assigned states;
+  // a state with no permitted edge caches the empty table.
   private val cache = new Array[Array[AliasTable]](g.numNodes)
-  // Cache entry of a state whose dynamic weights are all 0.
-  private val noEdge = new AliasTable(Array.emptyDoubleArray, Array.emptyIntArray)
+  private var tableBytes = 0L
 
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
+  override def localBytes: Long = tableBytes
+
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     val v = s.cur
-    val d = g.degree(v)
-    if (d == 0) return -1
-    stats.steps += 1
-    if (!aliasEnabled(v)) {
-      stats.trials += d
-      return SamplerUtil.directDraw(g, model, s, rng)
-    }
+    if (!aliasEnabled(v)) return directStep(s, d, rng)
     stats.trials += 1
     var row = cache(v)
     if (row == null) { row = new Array[AliasTable](model.bucketSize(g, v)); cache(v) = row }
     val a = model.affixture(g, s)
     var t = row(a)
     if (t == null) {
-      val t0 = System.nanoTime()
+      val t0 = initStart()
       t = AliasMethod.build(SamplerUtil.dynamicWeights(g, model, s))
-      // A state with no permitted edge is remembered, not rebuilt per visit.
-      if (t == null) t = noEdge
-      else stats.lazyBytes += AliasMethod.tableBytes(d)
+      if (t.size > 0) tableBytes += AliasMethod.tableBytes(d)
       row(a) = t
-      stats.initNanos += System.nanoTime() - t0
-      stats.initCount += 1
+      initDone(t0)
     }
-    if (t eq noEdge) -1 else g.offset(v) + t.draw(rng)
+    if (t.size == 0) -1 else g.offset(v) + t.draw(rng)
   }
 }

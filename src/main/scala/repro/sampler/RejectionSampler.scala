@@ -81,18 +81,14 @@ final class RejectionSampler(
     model: RandomWalkModel,
     proposal: StaticProposal,
     knightKing: Boolean,
-) extends EdgeSampler {
-  override val stats = new LocalStats
+) extends EdgeSampler(g, model) {
   private val foldedEnvelope = model.foldedMaxBias
   private val plainEnvelope = model.maxBias
 
-  override def sample(s: WalkState, rng: SplittableRandom): Int = {
+  override protected def draw(s: WalkState, d: Int, rng: SplittableRandom): Int = {
     val v = s.cur
-    val d = g.degree(v)
-    if (d == 0) return -1
-    stats.steps += 1
     val t = proposal.tables(v)
-    if (t == null) return -1
+    if (t.size == 0) return -1
     val lo = g.offset(v)
 
     val outlier = if (knightKing) model.outlierEdge(g, s) else -1

@@ -44,8 +44,8 @@ class AliasMethodSpec extends AnyFunSuite with PropHelpers {
   }
 
   test("all-zero weights build no table (no permitted edge)") {
-    assert(AliasMethod.build(Array(0.0, 0.0)) == null)
-    assert(AliasMethod.build(Array.empty[Double]) == null)
+    assert(AliasMethod.build(Array(0.0, 0.0)).size == 0)
+    assert(AliasMethod.build(Array.empty[Double]).size == 0)
   }
 
   test("negative weights are rejected") {
@@ -60,7 +60,7 @@ class AliasMethodSpec extends AnyFunSuite with PropHelpers {
     val gen = Gen.nonEmptyListOf(Gen.choose(0.0, 50.0)).suchThat(_.sum > 0)
     forAllSamples(gen, n = 40) { ws =>
       val t = AliasMethod.build(ws.toArray)
-      assert(t != null)
+      assert(t.size == ws.size)
       t.prob.foreach(p => assert(p >= -1e-9 && p <= 1.0 + 1e-9))
       t.alias.foreach(a => assert(a >= 0 && a < t.size))
     }

@@ -39,7 +39,7 @@ class MemoryAwareSamplerSpec extends AnyFunSuite {
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.03)
     assert(smp.stats.trials == 100_000L)
     assert(smp.stats.initCount == 1) // one lazy table for the single state
-    assert(smp.stats.lazyBytes == AliasMethod.tableBytes(g.degree(0)))
+    assert(smp.localBytes == AliasMethod.tableBytes(g.degree(0)))
   }
 
   test("assignment is greedy by degree: partial budgets alias the hubs first") {
@@ -68,7 +68,7 @@ class MemoryAwareSamplerSpec extends AnyFunSuite {
     for (v <- 0 until g.numNodes; if g.degree(v) > 0) {
       smp.sample(WalkState(g.dst(g.offset(v)), v, 0), rng)
     }
-    assert(smp.stats.lazyBytes <= budget)
+    assert(smp.localBytes <= budget)
   }
 
   test("distribution correctness on a budget boundary mix") {
@@ -91,6 +91,6 @@ class MemoryAwareSamplerSpec extends AnyFunSuite {
     val rng = new java.util.SplittableRandom(5)
     (0 until 5).foreach(_ => assert(smp.sample(s, rng) == -1))
     assert(smp.stats.initCount == 1)
-    assert(smp.stats.lazyBytes == 0L) // no table is stored for it
+    assert(smp.localBytes == 0L) // no table is stored for it
   }
 }
