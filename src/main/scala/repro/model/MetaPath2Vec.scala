@@ -36,11 +36,13 @@ final class MetaPath2Vec(val metapath: Array[Int]) extends RandomWalkModel {
     WalkState(-1, start, metapath.indexOf(g.nodeType(start)))
 
   /** One sampler per (node, metapath position) — |states| = |V| * |Phi|
-    * in the paper's Table I accounting.
+    * in the paper's Table I accounting — plus slot `len` for a walker whose
+    * start type is off the path (aux = -1), which admits no edge.
     */
-  override def bucketSize(g: CSRGraph, v: Int): Int = len
-  override def affixture(g: CSRGraph, s: WalkState): Int = math.max(s.aux, 0)
-  override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState = WalkState(-1, v, affix)
+  override def bucketSize(g: CSRGraph, v: Int): Int = len + 1
+  override def affixture(g: CSRGraph, s: WalkState): Int = if (s.aux < 0) len else s.aux
+  override def stateFor(g: CSRGraph, v: Int, affix: Int): WalkState =
+    WalkState(-1, v, if (affix == len) -1 else affix)
   override def numStates(g: CSRGraph): Long = g.numNodes.toLong * len
 
   override val maxBias = 1.0

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 
 import repro.core.{RandomWalkModel, WalkState}
 import repro.graph.{CSRGraph, GraphGen}
-import repro.sampler.EdgeSampler
+import repro.sampler._
 
 /** Shared fixtures: hand-built graphs and distribution-comparison helpers
   * used across the sampler / model / engine suites.
@@ -34,6 +34,22 @@ object TestGraphs {
       (2, 3, 1.0), (2, 5, 1.0),
       (3, 4, 1.0), (4, 5, 1.0)), types, 3)
   }
+
+  /** Every sampler configuration, labelled: the comparison samplers, the
+    * memory-aware sampler with no budget and an unbounded one, and M-H
+    * with each init strategy.
+    */
+  val samplerFactories: Seq[(String, () => SamplerFactory)] = Seq(
+    "direct" -> (() => DirectSamplerFactory),
+    "alias" -> (() => new AliasSamplerFactory),
+    "rejection" -> (() => new RejectionSamplerFactory(knightKing = false)),
+    "knightking" -> (() => new RejectionSamplerFactory(knightKing = true)),
+    "memory-aware(0)" -> (() => new MemoryAwareSamplerFactory(0L)),
+    "memory-aware(max)" -> (() => new MemoryAwareSamplerFactory(Long.MaxValue)),
+    "mh(Rand)" -> (() => new MHSamplerFactory(RandomInit)),
+    "mh(Weight)" -> (() => new MHSamplerFactory(HighWeightInit())),
+    "mh(Burn)" -> (() => new MHSamplerFactory(BurnInInit())),
+  )
 
   /** Deterministic small power-law-ish graph for statistical tests. */
   def mediumGraph(n: Int = 200, mult: Int = 4, seed: Long = 5): CSRGraph = {

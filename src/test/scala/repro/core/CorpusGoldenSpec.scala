@@ -29,17 +29,7 @@ class CorpusGoldenSpec extends AnyFunSuite {
     ("fairwalk", typed, () => new FairWalk(0.5, 2.0)),
   )
 
-  private val samplers: Seq[(String, () => SamplerFactory)] = Seq(
-    "direct" -> (() => DirectSamplerFactory),
-    "alias" -> (() => new AliasSamplerFactory),
-    "rejection" -> (() => new RejectionSamplerFactory(knightKing = false)),
-    "knightking" -> (() => new RejectionSamplerFactory(knightKing = true)),
-    "memory-aware(0)" -> (() => new MemoryAwareSamplerFactory(0L)),
-    "memory-aware(max)" -> (() => new MemoryAwareSamplerFactory(Long.MaxValue)),
-    "mh(Rand)" -> (() => new MHSamplerFactory(RandomInit)),
-    "mh(Weight)" -> (() => new MHSamplerFactory(HighWeightInit())),
-    "mh(Burn)" -> (() => new MHSamplerFactory(BurnInInit())),
-  )
+  private val samplers = TestGraphs.samplerFactories
 
   /** Committed hashes, one row per model in `samplers` order. */
   private val Expected: Map[(String, String), Long] = Map(
@@ -125,9 +115,9 @@ class CorpusGoldenSpec extends AnyFunSuite {
       Seq(2989L, 36221L, 2717L, 0L, 272L, 0L, 0L),
       Seq(3027L, 35925L, 0L, 0L, 0L, 0L, 0L),
       Seq(2958L, 2958L, 0L, 0L, 0L, 200L, 21804L),
-      Seq(2948L, 2676L, 786L, 0L, 0L, 456L, 2400L),
-      Seq(3082L, 2811L, 753L, 0L, 0L, 455L, 2400L),
-      Seq(2883L, 2591L, 738L, 0L, 0L, 476L, 2400L)),
+      Seq(2948L, 2676L, 786L, 0L, 0L, 456L, 3200L),
+      Seq(3082L, 2811L, 753L, 0L, 0L, 455L, 3200L),
+      Seq(2883L, 2591L, 738L, 0L, 0L, 476L, 3200L)),
     "edge2vec" -> Seq(
       Seq(4800L, 55582L, 0L, 0L, 0L, 0L, 0L),
       Seq(4800L, 4800L, 0L, 0L, 0L, 0L, 0L),

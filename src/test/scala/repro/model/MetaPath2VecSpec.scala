@@ -1,9 +1,11 @@
 package repro.model
 
+import java.util.SplittableRandom
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
-import repro.core.WalkState
+import repro.core.{UniNet, WalkState}
 
 /** Metapath2vec model semantics (Eq. 4): type masking and path cycling. */
 class MetaPath2VecSpec extends AnyFunSuite {
@@ -52,16 +54,27 @@ class MetaPath2VecSpec extends AnyFunSuite {
     for (j <- 0 until g.degree(2)) assert(m2.calculateWeight(g, s, g.offset(2) + j) == 0.0)
   }
 
+  test("an off-path start emits a one-node walk under every sampler") {
+    val m2 = new MetaPath2Vec(Array(0, 1))
+    for ((name, factory) <- TestGraphs.samplerFactories) {
+      val f = factory()
+      f.prepare(g, m2, parallel = false)
+      val walk = UniNet.runWalk(g, m2, f.create(g, m2), 2, 5, new SplittableRandom(1))
+      assert(walk.toSeq == Seq(2), name)
+    }
+  }
+
   test("number of states is |V| * |metapath|") {
     assert(m.numStates(g) == g.numNodes.toLong * 3)
     assert(!m.isSecondOrder)
   }
 
   test("2D layout: affixture is the metapath position") {
-    assert(m.bucketSize(g, 0) == 3)
+    assert(m.bucketSize(g, 0) == 4)
     assert(m.affixture(g, WalkState(-1, 0, 2)) == 2)
-    assert(m.affixture(g, WalkState(-1, 0, -1)) == 0) // stuck maps to slot 0
+    assert(m.affixture(g, WalkState(-1, 0, -1)) == 3) // off-path start: own slot
     assert(m.stateFor(g, 4, 1) == WalkState(-1, 4, 1))
+    assert(m.stateFor(g, 4, 3) == WalkState(-1, 4, -1))
   }
 
   test("bias bounds: masked model has no positive floor") {
