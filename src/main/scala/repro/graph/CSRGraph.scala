@@ -109,6 +109,14 @@ final class CSRGraph(
 
 object CSRGraph {
 
+  /** Edge indices are `Int`, so a CSR holds at most 2^31 - 1 directed
+    * entries. Paper-scale Twitter (2.9B) and Web-UK (6.6B) exceed it and
+    * exist only as [[repro.sampler.MemoryModel]] projections.
+    */
+  def requireIndexable(directedEdges: Long): Unit =
+    require(directedEdges <= Int.MaxValue,
+      s"$directedEdges directed edge entries exceed the CSR limit of 2^31 - 1 (Int edge indices)")
+
   /** Build a CSR graph from a *directed* edge array (call sites symmetrize
     * first for undirected networks). Neighbor slices are sorted by
     * destination id; parallel duplicate edges are kept as-is (multigraph).
@@ -174,6 +182,7 @@ object CSRGraph {
       numTypes: Int = 1,
   ): CSRGraph = {
     val m = us.length
+    requireIndexable(2L * m)
     val s = new Array[Int](2 * m); val d = new Array[Int](2 * m); val w = new Array[Float](2 * m)
     var i = 0
     while (i < m) {

@@ -134,6 +134,13 @@ class CSRGraphSpec extends AnyFunSuite with PropHelpers {
     assert(CSRGraph.fromEdges(2, Array(0, 1), Array(1, 0), Array(0f, 0f)).numDirectedEdges == 2)
   }
 
+  test("more directed entries than an Int can index fail with the limit named") {
+    CSRGraph.requireIndexable(Int.MaxValue.toLong)
+    // 2^30 undirected edges: the first count whose 2 * m overflows an Int.
+    val e = intercept[IllegalArgumentException](CSRGraph.requireIndexable(2L * (1 << 30)))
+    assert(e.getMessage.contains("2^31 - 1"))
+  }
+
   test("multigraph: duplicate edges are preserved") {
     val m = CSRGraph.fromUndirectedEdges(2, Array(0, 0), Array(1, 1), Array(1.0f, 2.0f))
     assert(m.degree(0) == 2)
