@@ -13,49 +13,56 @@ class MemoryModelSpec extends AnyFunSuite {
   private val youtube = GraphGen.datasets("YouTube")
   private val flickr = GraphGen.datasets("Flickr")
 
+  // The factories' own names, as the Table harnesses pass them.
+  private val alias = new AliasSamplerFactory().name
+  private val mh = new MHSamplerFactory(HighWeightInit()).name
+  private val memoryAware = new MemoryAwareSamplerFactory(80L << 20).name
+  private val direct = DirectSamplerFactory.name
+  private val rejectionStyle = Seq(false, true).map(new RejectionSamplerFactory(_).name)
+
   test("Table VII: second-order alias OOMs on both billion-edge networks") {
-    assert(MemoryModel.oomMark(twitter, "alias(precompute)", secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(webuk, "alias(precompute)", secondOrder = true) == "*")
+    assert(MemoryModel.oomMark(twitter, alias, secondOrder = true) == "*")
+    assert(MemoryModel.oomMark(webuk, alias, secondOrder = true) == "*")
   }
 
   test("Table VII: rejection and KnightKing run on Twitter but OOM on Web-UK") {
-    for (s <- Seq("rejection", "knightking")) {
+    for (s <- rejectionStyle) {
       assert(MemoryModel.oomMark(twitter, s, secondOrder = true) == "", s)
       assert(MemoryModel.oomMark(webuk, s, secondOrder = true) == "*", s)
     }
   }
 
   test("Table VII: M-H fits both billion-edge networks") {
-    assert(MemoryModel.oomMark(twitter, "mh(Weight)", secondOrder = true) == "")
-    assert(MemoryModel.oomMark(webuk, "mh(Weight)", secondOrder = true) == "")
+    assert(MemoryModel.oomMark(twitter, mh, secondOrder = true) == "")
+    assert(MemoryModel.oomMark(webuk, mh, secondOrder = true) == "")
   }
 
   test("Table VII: memory-aware fits both by construction") {
-    assert(MemoryModel.oomMark(twitter, "memory-aware(80MB)", secondOrder = true) == "")
-    assert(MemoryModel.oomMark(webuk, "memory-aware(80MB)", secondOrder = true) == "")
+    assert(MemoryModel.oomMark(twitter, memoryAware, secondOrder = true) == "")
+    assert(MemoryModel.oomMark(webuk, memoryAware, secondOrder = true) == "")
   }
 
   test("Table VI: open-sourced deepwalk runs on Twitter, OOMs on Web-UK") {
-    assert(MemoryModel.oomMark(twitter, "direct", secondOrder = false, openSourceImpl = true) == "")
-    assert(MemoryModel.oomMark(webuk, "direct", secondOrder = false, openSourceImpl = true) == "*")
+    assert(MemoryModel.oomMark(twitter, direct, secondOrder = false, openSourceImpl = true) == "")
+    assert(MemoryModel.oomMark(webuk, direct, secondOrder = false, openSourceImpl = true) == "*")
   }
 
   test("Table VI: open-sourced node2vec (alias) OOMs on the billion-edge pair only") {
-    assert(MemoryModel.oomMark(twitter, "alias(precompute)", secondOrder = true, openSourceImpl = true) == "*")
-    assert(MemoryModel.oomMark(flickr, "alias(precompute)", secondOrder = true, openSourceImpl = true) == "")
-    assert(MemoryModel.oomMark(youtube, "alias(precompute)", secondOrder = true, openSourceImpl = true) == "")
+    assert(MemoryModel.oomMark(twitter, alias, secondOrder = true, openSourceImpl = true) == "*")
+    assert(MemoryModel.oomMark(flickr, alias, secondOrder = true, openSourceImpl = true) == "")
+    assert(MemoryModel.oomMark(youtube, alias, secondOrder = true, openSourceImpl = true) == "")
   }
 
   test("Table VI: UniNet(Orig) node2vec OOMs on Twitter/Web-UK, runs on YouTube") {
-    assert(MemoryModel.oomMark(twitter, "alias(precompute)", secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(webuk, "alias(precompute)", secondOrder = true) == "*")
-    assert(MemoryModel.oomMark(youtube, "alias(precompute)", secondOrder = true) == "")
+    assert(MemoryModel.oomMark(twitter, alias, secondOrder = true) == "*")
+    assert(MemoryModel.oomMark(webuk, alias, secondOrder = true) == "*")
+    assert(MemoryModel.oomMark(youtube, alias, secondOrder = true) == "")
   }
 
   test("Table VI: M-H deepwalk and node2vec fit everywhere") {
     for (cfg <- GraphGen.datasets.values) {
-      assert(MemoryModel.oomMark(cfg, "mh(Weight)", secondOrder = false) == "", cfg.name)
-      assert(MemoryModel.oomMark(cfg, "mh(Weight)", secondOrder = true) == "", cfg.name)
+      assert(MemoryModel.oomMark(cfg, mh, secondOrder = false) == "", cfg.name)
+      assert(MemoryModel.oomMark(cfg, mh, secondOrder = true) == "", cfg.name)
     }
   }
 
@@ -77,7 +84,7 @@ class MemoryModelSpec extends AnyFunSuite {
   }
 
   test("memory-aware accounting never exceeds the budget") {
-    val fp = MemoryModel.paperScale(webuk, "memory-aware(80MB)", secondOrder = true)
+    val fp = MemoryModel.paperScale(webuk, memoryAware, secondOrder = true)
     assert(fp.total <= MemoryModel.PaperServerBytes)
   }
 }
