@@ -52,8 +52,8 @@ abstract class EdgeSampler(g: CSRGraph, model: RandomWalkModel) {
   }
 
   /** Lazy per-state initialization is timed between `initStart()` and
-    * `initDone(t0)`; both run on every init, so init-heavy walks pay no
-    * closure per init.
+    * `initDone(t0)`, a pair rather than a by-name block, so init-heavy
+    * walks allocate no closure per init.
     */
   protected final def initStart(): Long = System.nanoTime()
 
