@@ -14,22 +14,19 @@ import repro.model.{DeepWalk, Edge2Vec, MetaPath2Vec, Node2Vec}
 class RejectionSamplerSpec extends AnyFunSuite {
   private val g = TestGraphs.trianglePendant
 
-  private def sampler(m: repro.core.RandomWalkModel) = {
-    val f = new RejectionSamplerFactory(knightKing = false)
-    f.prepare(g, m, parallel = false)
-    (f, f.create(g, m))
+  private def sampler(m: repro.core.RandomWalkModel, graph: repro.graph.CSRGraph = g,
+                      knightKing: Boolean = false): EdgeSampler = {
+    val f = new RejectionSamplerFactory(knightKing)
+    f.prepare(graph, m, parallel = false)
+    f.create(graph, m)
   }
 
-  private def knightKing(m: repro.core.RandomWalkModel,
-                         graph: repro.graph.CSRGraph = g): RejectionSampler = {
-    val f = new RejectionSamplerFactory(knightKing = true)
-    f.prepare(graph, m, parallel = false)
-    f.create(graph, m).asInstanceOf[RejectionSampler]
-  }
+  private def knightKing(m: repro.core.RandomWalkModel, graph: repro.graph.CSRGraph = g) =
+    sampler(m, graph, knightKing = true)
 
   test("deepwalk: proposal equals target, acceptance ratio is 1") {
     val m = new DeepWalk
-    val (_, smp) = sampler(m)
+    val smp = sampler(m)
     val s = m.initialState(g, 0)
     val emp = TestGraphs.empiricalDistribution(g, smp, s, 100_000)
     assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02)
@@ -39,7 +36,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
   test("node2vec: matches Eq. 2 for several hyper-parameter settings") {
     for ((p, q) <- Seq((0.25, 4.0), (4.0, 0.25), (1.0, 1.0), (0.5, 2.0))) {
       val m = new Node2Vec(p, q)
-      val (_, smp) = sampler(m)
+      val smp = sampler(m)
       val s = WalkState(1, 0, 0)
       val emp = TestGraphs.empiricalDistribution(g, smp, s, 200_000)
       assert(TestGraphs.l1(emp, TestGraphs.targetDistribution(g, m, s)) < 0.02,
@@ -53,9 +50,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
     // known, so acceptance = mean(alpha) / max(alpha).
     val star = TestGraphs.starWithWeights(Seq(1, 1, 1, 1))
     val m = new Node2Vec(0.25, 1.0) // return alpha 4, others 1/q = 1
-    val f = new RejectionSamplerFactory(knightKing = false)
-    f.prepare(star, m, parallel = false)
-    val smp = f.create(star, m)
+    val smp = sampler(m, star)
     val s = WalkState(1, 0, 0)
     TestGraphs.empiricalDistribution(star, smp, s, 200_000)
     val expected = (4.0 + 1 + 1 + 1) / 4 / 4.0 // E[alpha] / envelope
@@ -66,7 +61,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
   test("acceptance ratio degrades as q grows (Table II shape)") {
     def acceptance(p: Double, q: Double): Double = {
       val m = new Node2Vec(p, q)
-      val (_, smp) = sampler(m)
+      val smp = sampler(m)
       TestGraphs.empiricalDistribution(g, smp, WalkState(1, 0, 0), 50_000)
       smp.stats.accepts.toDouble / smp.stats.trials
     }
@@ -81,9 +76,7 @@ class RejectionSamplerSpec extends AnyFunSuite {
   test("metapath masking: only matching types are returned, via fallback if needed") {
     val t = TestGraphs.typedGraph
     val m = new MetaPath2Vec(Array(0, 1, 2))
-    val f = new RejectionSamplerFactory(knightKing = false)
-    f.prepare(t, m, parallel = false)
-    val smp = f.create(t, m)
+    val smp = sampler(m, t)
     val s = WalkState(-1, 0, 0) // target type 1: neighbors 1 and 4 only
     val emp = TestGraphs.empiricalDistribution(t, smp, s, 50_000)
     for (j <- 0 until t.degree(0)) {
@@ -124,13 +117,8 @@ class RejectionSamplerSpec extends AnyFunSuite {
     val s = WalkState(1, 0, 0)
     val kk = knightKing(m, star)
     TestGraphs.empiricalDistribution(star, kk, s, 100_000)
-    val rej = {
-      val f = new RejectionSamplerFactory(knightKing = false)
-      f.prepare(star, m, parallel = false)
-      val smp = f.create(star, m)
-      TestGraphs.empiricalDistribution(star, smp, s, 100_000)
-      smp
-    }
+    val rej = sampler(m, star)
+    TestGraphs.empiricalDistribution(star, rej, s, 100_000)
     val kkAcc = kk.stats.accepts.toDouble / kk.stats.trials
     val rejAcc = rej.stats.accepts.toDouble / rej.stats.trials
     // Folded envelope is max(1, 1/q) = 1 -> near-perfect acceptance; plain
